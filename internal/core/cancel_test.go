@@ -182,7 +182,10 @@ func TestDoubleCancel(t *testing.T) {
 	gs.gate <- struct{}{} // complete the in-flight read; cancel lands next
 	waitActive(t, p, 0)
 
-	// maxConc=1: the only slot must be free again.
+	// maxConc=1: the only slot must be free again once Done, the
+	// documented slot-free signal, closes. ActiveQueries can reach 0
+	// before the slot is recycled.
+	<-h.Done()
 	h2, err := p.Submit(countStar(t, ds))
 	if err != nil {
 		t.Fatalf("slot not recycled: %v", err)

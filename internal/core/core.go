@@ -98,10 +98,6 @@ type Config struct {
 	// only whole partitions, restoring the §5 partition-granular
 	// behavior. The zero value (zone maps on) is the default.
 	DisableZoneMaps bool
-	// LegacyMapFilter swaps the Filters' lock-free copy-on-write dimht
-	// tables for the original map[int64]*dimEntry + RWMutex store. For
-	// ablation benchmarks only.
-	LegacyMapFilter bool
 	// PredCacheSize bounds the dimension plane's predicate-scan cache
 	// (memoized SelectRows results keyed by canonical predicate
 	// fingerprint). 0 selects dimplane.DefaultPredCacheSize; negative

@@ -5,8 +5,8 @@ package core
 // remove mirroring what dimplane.Plane does per dimension. Production
 // admission lives exclusively in dimplane.Plane (admit once per logical
 // query); these shims exist so the probe-path tests can drive one
-// dimension's write side directly without constructing a plane and bound
-// queries.
+// dimension's write side directly, on slots of their choosing, without
+// constructing a plane and bound queries.
 
 import (
 	"cjoin/internal/bitvec"
@@ -15,15 +15,9 @@ import (
 	"cjoin/internal/expr"
 )
 
-// newTestDimState builds a probe-side dimState over a fresh store of the
-// requested implementation — the old per-pipeline constructor's shape.
-func newTestDimState(star *catalog.Star, index, maxConc int, legacyMap bool) *dimState {
-	var store dimplane.Store
-	if legacyMap {
-		store = dimplane.NewMapStore(maxConc)
-	} else {
-		store = dimplane.NewCowStore(bitvec.Words(maxConc), star.Dims[index].Heap.NumCols())
-	}
+// newTestDimState builds a probe-side dimState over a fresh store.
+func newTestDimState(star *catalog.Star, index, maxConc int) *dimState {
+	store := dimplane.NewStore(bitvec.Words(maxConc), star.Dims[index].Heap.NumCols())
 	return newDimState(star, index, store)
 }
 

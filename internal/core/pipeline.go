@@ -321,7 +321,6 @@ func NewPipeline(star *catalog.Star, cfg Config) (*Pipeline, error) {
 	if owns {
 		pcfg := dimplane.Config{
 			MaxConcurrent: cfg.MaxConcurrent,
-			LegacyMap:     cfg.LegacyMapFilter,
 			Obs:           cfg.Obs,
 			PredCacheSize: cfg.PredCacheSize,
 		}

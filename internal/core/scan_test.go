@@ -149,9 +149,8 @@ func TestOptimizerOrdersBySelectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fake both filters active with measured drop rates: d2 drops more.
-	p.dimStates[0].store.ForceRefs(1)
-	p.dimStates[1].store.ForceRefs(1)
+	// Fake measured drop rates: d2 drops more. ReorderFilters reads only
+	// the counters, not the stores.
 	order := []int{0, 1}
 	p.filterOrder.Store(&order)
 	p.dimStates[0].tuplesIn.Store(1000)

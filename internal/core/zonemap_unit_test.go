@@ -154,6 +154,11 @@ func TestNeedPagesCoverQualifyingRows(t *testing.T) {
 			snapshots := []txn.Snapshot{ds.Txn.Begin()}
 			var delCursor int64
 			sawBitmap := false
+			// 12 queries run one at a time on 8 slots. Wait returns once
+			// the result is delivered, which is before the slot is
+			// recycled; Done is the "slot free" signal, so each query's
+			// Done is awaited, after its checks, before the next Submit.
+			var prev Handle
 			for i := 0; i < 12; i++ {
 				if tc.churn && i > 0 {
 					if _, err := ds.AppendFact(40, rng); err != nil {
@@ -179,10 +184,14 @@ func TestNeedPagesCoverQualifyingRows(t *testing.T) {
 				if tc.churn && i%2 == 1 {
 					q.Snapshot = snapshots[rng.Intn(len(snapshots))]
 				}
+				if prev != nil {
+					<-prev.Done()
+				}
 				h, err := p.Submit(q)
 				if err != nil {
 					t.Fatal(err)
 				}
+				prev = h
 				res := h.Wait()
 				if res.Err != nil {
 					t.Fatal(res.Err)

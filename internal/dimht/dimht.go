@@ -284,9 +284,6 @@ func (b *Builder) Refs() int { return b.s.refs }
 func (b *Builder) AddRef()  { b.s.refs++ }
 func (b *Builder) DropRef() { b.s.refs-- }
 
-// SetRefs overwrites the reference count (test plumbing).
-func (b *Builder) SetRefs(n int) { b.s.refs = n }
-
 // Mask returns the complement bitmap under construction. Unlike the
 // snapshot accessor, the builder's copy may be modified through the
 // returned vector.

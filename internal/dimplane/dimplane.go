@@ -14,7 +14,8 @@
 // probe the same immutable dimht snapshots lock-free. This is the same
 // separation of update plane and scan plane that HTAP designs argue for,
 // applied inside one operator: one writer, N concurrent readers, with
-// atomic snapshot publication as the only coupling.
+// atomic snapshot publication as the only coupling. Each dimension has
+// exactly one Store, a dimht copy-on-write table (store.go).
 //
 // Lifecycle: Admit allocates a query slot and installs the query's
 // dimension selections; each attached pipeline calls Retire(slot) when
@@ -49,9 +50,6 @@ type Config struct {
 	// MaxConcurrent is the paper's maxConc: the bound on simultaneously
 	// admitted queries and the width of every bit-vector. Default 64.
 	MaxConcurrent int
-	// LegacyMap swaps the lock-free copy-on-write dimht stores for the
-	// original map + RWMutex baseline. For ablation benchmarks only.
-	LegacyMap bool
 	// AdmitFault, when non-nil, is consulted at the top of every Admit;
 	// a non-nil return fails the admission with that error (the slot is
 	// rolled back). Fault-injection hook (internal/fault); nil in
@@ -83,7 +81,7 @@ type Plane struct {
 	// fan-out width matches the value it read here.
 	probers atomic.Int32
 	ids     *bitvec.Allocator
-	stores  []Store
+	stores  []*Store
 	slots   []slotState
 	cache   *predCache // nil when PredCacheSize < 0
 
@@ -171,11 +169,7 @@ func New(star *catalog.Star, probers int, cfg Config) *Plane {
 	}
 	pl.probers.Store(int32(probers))
 	for i := range star.Dims {
-		if cfg.LegacyMap {
-			pl.stores = append(pl.stores, NewMapStore(cfg.MaxConcurrent))
-		} else {
-			pl.stores = append(pl.stores, NewCowStore(words, star.Dims[i].Heap.NumCols()))
-		}
+		pl.stores = append(pl.stores, NewStore(words, star.Dims[i].Heap.NumCols()))
 	}
 	for i := range pl.slots {
 		pl.slots[i].refs = make([]bool, len(star.Dims))
@@ -222,7 +216,7 @@ func (pl *Plane) InvalidateCache() { pl.cache.invalidateAll() }
 func (pl *Plane) NumDims() int { return len(pl.stores) }
 
 // Store returns dimension i's shared store (probe side for Filters).
-func (pl *Plane) Store(i int) Store { return pl.stores[i] }
+func (pl *Plane) Store(i int) *Store { return pl.stores[i] }
 
 // InUse returns the number of currently admitted query slots.
 func (pl *Plane) InUse() int { return pl.ids.InUse() }
@@ -333,7 +327,7 @@ func (pl *Plane) selectRowsCached(dim int, pred expr.Node) ([][]int64, error) {
 	return rows, nil
 }
 
-// notePublish counts store version transitions — each CowStore write
+// notePublish counts store version transitions — each Store write
 // (Admit*, AdmitBatch, Remove) publishes exactly one COW snapshot, so
 // the counter makes the batch path's one-publication-per-store claim
 // directly observable next to the per-query path's one-per-query.
@@ -561,7 +555,7 @@ type Stats struct {
 	CacheHits   int64
 	CacheMisses int64
 	// SnapshotPublishes counts dimension store version transitions —
-	// one COW snapshot publication per CowStore write. The batch path's
+	// one COW snapshot publication per Store write. The batch path's
 	// saving shows up here directly: K queries cost NumDims
 	// publications instead of K*NumDims.
 	SnapshotPublishes int64

@@ -287,7 +287,6 @@ func New(star *catalog.Star, cfg Config) (*Group, error) {
 	norm := cfg.Core.Normalized()
 	plcfg := dimplane.Config{
 		MaxConcurrent: norm.MaxConcurrent,
-		LegacyMap:     norm.LegacyMapFilter,
 		Obs:           cfg.Obs,
 		PredCacheSize: norm.PredCacheSize,
 	}
